@@ -1,4 +1,4 @@
-//! Guard bench for the interpreter optimisation levels (`VmOpt`).
+//! Guard bench for the interpreter dispatch levels (`VmOpt`).
 //!
 //! Times `vm.run()` alone (VM construction allocates the page directory
 //! and is excluded; on-CPU time via [`GuardTimer`], so guest-side
@@ -6,18 +6,17 @@
 //! each level, twice:
 //!
 //! 1. **bare** — no tool attached: pure dispatch throughput, where
-//!    pre-decoded fused ops and lowered traces pay off most;
+//!    pre-decoded fused ops pay off most;
 //! 2. **instrumented** — a trace recorder capturing every event: the
-//!    profiling configuration, where trace mode additionally batches the
-//!    per-event tool dispatch into one `on_events` flush per iteration.
+//!    profiling configuration, where per-event tool dispatch dilutes the
+//!    dispatch win.
 //!
-//! The **guard**: the bare `trace` level must be at least
+//! The **guard**: the bare `fuse` level must be at least
 //! [`SPEEDUP_FLOOR`]x faster than `off` (best-of-N on both sides,
-//! iterations interleaved round-robin
-//! across levels so load bursts cannot bias the ratio), and every level
-//! must produce the
-//! byte-identical capture digest — the bench fails otherwise, holding the
-//! speedup claim and the fidelity contract at once. Results land in
+//! iterations interleaved round-robin across levels so load bursts cannot
+//! bias the ratio), and both levels must produce the byte-identical
+//! capture digest — the bench fails otherwise, holding the speedup claim
+//! and the fidelity contract at once. Results land in
 //! `results/vm_dispatch_modes.tsv`.
 
 use std::time::Duration;
@@ -26,18 +25,18 @@ use tq_isa::{Asm, BrCond, Inst, MemWidth, Program, Reg};
 use tq_trace::TraceRecorder;
 use tq_vm::{layout, Vm, VmOpt, VmStats};
 
-/// Speedup floor for bare `trace` over bare `off` (the acceptance
-/// criterion checked by `scripts/verify.sh`). Originally 1.5x against
-/// the PR-6-era `off` baseline (~73 Minst/s); the off path has since
-/// nearly doubled (predecode and event-mask work benefit every level),
-/// compressing the ratio while absolute trace throughput held — the
-/// floor guards the *relative* claim, so it was re-baselined to 1.25x.
-/// The TSV keeps the absolute Minst/s numbers that tell the full story.
+/// Speedup floor for bare `fuse` over bare `off` (the acceptance
+/// criterion checked by `scripts/verify.sh`). Originally 1.5x against an
+/// early `off` baseline (~73 Minst/s); the off path has since nearly
+/// doubled (predecode and event-mask work benefit every level),
+/// compressing the ratio — the floor guards the *relative* claim, so it
+/// was re-baselined to 1.25x. The TSV keeps the absolute Minst/s numbers
+/// that tell the full story.
 const SPEEDUP_FLOOR: f64 = 1.25;
 
 /// A memory-heavy counted loop: address compute + store, load-modify-
-/// store, induction step + branch — the shapes the fusion peephole and
-/// the trace recorder both target (AddrLd/LdOpSt/IncBr).
+/// store, induction step + branch — the shapes the fusion peephole
+/// targets (AddrLd/LdOpSt/IncBr).
 fn hot_loop(iters: i32) -> Program {
     let mut a = Asm::new();
     a.begin_routine("main").unwrap();
@@ -154,12 +153,11 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
     let program = hot_loop(1_500_000);
-    let modes = [VmOpt::Off, VmOpt::Fuse, VmOpt::Trace];
+    let modes = [VmOpt::Off, VmOpt::Fuse];
 
     println!("vm_jit: 1.5M-iteration memory loop, best of {iters}, vm.run() only");
-    let mut tsv = String::from(
-        "mode\tbare_s\tbare_mips\tinstr_s\tinstr_mips\tblocks_fused\ttraces_recorded\ttrace_share\tdigest\n",
-    );
+    let mut tsv =
+        String::from("mode\tbare_s\tbare_mips\tinstr_s\tinstr_mips\tblocks_fused\tdigest\n");
     let mut bare_best: Vec<Option<Run>> = modes.iter().map(|_| None).collect();
     let mut inst_best: Vec<Option<Run>> = modes.iter().map(|_| None).collect();
     for _ in 0..iters {
@@ -181,14 +179,12 @@ fn main() {
             mips(&i),
         );
         tsv.push_str(&format!(
-            "{opt}\t{:.6}\t{:.1}\t{:.6}\t{:.1}\t{}\t{}\t{:.4}\t{}\n",
+            "{opt}\t{:.6}\t{:.1}\t{:.6}\t{:.1}\t{}\t{}\n",
             b.wall.as_secs_f64(),
             mips(&b),
             i.wall.as_secs_f64(),
             mips(&i),
             i.stats.blocks_fused,
-            i.stats.traces_recorded,
-            i.stats.trace_instr_share(i.icount),
             i.digest.as_deref().unwrap_or("-"),
         ));
         bare.push(b);
@@ -203,17 +199,13 @@ fn main() {
         );
         assert_eq!(i.icount, inst[0].icount, "{opt}: icount diverged");
     }
-    // The machinery engaged: fuse found superinstructions, trace mode ran
-    // most of the loop inside lowered traces.
+    // The machinery engaged: fuse found superinstructions.
     assert!(inst[1].stats.blocks_fused >= 1, "fusion never engaged");
-    assert!(inst[2].stats.traces_recorded >= 1, "no trace recorded");
-    let share = inst[2].stats.trace_instr_share(inst[2].icount);
-    assert!(share > 0.9, "trace share too low: {share:.4}");
 
-    let speedup = bare[0].wall.as_secs_f64() / bare[2].wall.as_secs_f64();
-    let instr_speedup = inst[0].wall.as_secs_f64() / inst[2].wall.as_secs_f64();
+    let speedup = bare[0].wall.as_secs_f64() / bare[1].wall.as_secs_f64();
+    let instr_speedup = inst[0].wall.as_secs_f64() / inst[1].wall.as_secs_f64();
     println!(
-        "  speedup trace vs off: bare {speedup:.2}x, instrumented {instr_speedup:.2}x \
+        "  speedup fuse vs off: bare {speedup:.2}x, instrumented {instr_speedup:.2}x \
          (floor {SPEEDUP_FLOOR}x on bare)"
     );
     tsv.push_str(&format!(
@@ -222,7 +214,7 @@ fn main() {
     save("vm_dispatch_modes.tsv", &tsv);
     assert!(
         speedup >= SPEEDUP_FLOOR,
-        "bare trace speedup {speedup:.2}x is below the {SPEEDUP_FLOOR}x floor"
+        "bare fuse speedup {speedup:.2}x is below the {SPEEDUP_FLOOR}x floor"
     );
     println!("  guard: PASS");
 }

@@ -26,7 +26,7 @@
 //!            [--max-conns N] [--read-timeout-ms N] [--slow-job-ms N]
 //!            [--peers A,B,C] [--advertise HOST:PORT] [--probe-interval-ms N]
 //!
-//! every VM-running subcommand: [--vm-opt off|fuse|trace]
+//! every VM-running subcommand: [--vm-opt off|fuse]
 //!                              [--instr full|filter:…|sample:…|converge:…]
 //! tq submit  [--addr HOST:PORT] [--tool tquad|quad|gprof|phases]
 //!            [--app …] [--scale …] [--interval N] [--exclude-stack]
@@ -145,15 +145,14 @@ impl App {
     }
 }
 
-/// Parse `--vm-opt off|fuse|trace`. Every level is observationally
-/// identical (same profiles, same captured trace bytes); the flag only
-/// trades decode-time work for interpreter speed, so each subcommand
-/// picks its own default: one-shot commands stay on `off`, the long-lived
-/// `serve` daemon defaults to `trace`.
-fn vm_opt(args: &Args, default: tq_vm::VmOpt) -> Result<tq_vm::VmOpt, String> {
+/// Parse `--vm-opt off|fuse` (default `fuse`). Both levels are
+/// observationally identical (same profiles, same captured trace bytes);
+/// `off` is the unfused reference that differential checks compare
+/// against.
+fn vm_opt(args: &Args) -> Result<tq_vm::VmOpt, String> {
     match args.get("vm-opt") {
         Some(v) => tq_vm::VmOpt::parse(v),
-        None => Ok(default),
+        None => Ok(tq_vm::VmOpt::default()),
     }
 }
 
@@ -230,7 +229,7 @@ fn run_profiled<T: tq_vm::MergeTool + 'static>(
         }
         Source::Live(app) => app,
     };
-    let mut vm = app.make_vm(vm_opt(args, tq_vm::VmOpt::Off)?)?;
+    let mut vm = app.make_vm(vm_opt(args)?)?;
     if let Some(mode) = instr {
         vm.set_instr_mode(mode)?;
     }
@@ -334,9 +333,9 @@ fn usage() -> String {
     "usage: tq <run|capture|gprof|tquad|quad|phases|intervals|disasm|serve|submit|\n\
      \u{20}          fleet-status|fleet-trace> [options]\n\
      common options: --app wfs|img --scale tiny|small|paper\n\
-     \u{20}               --vm-opt off|fuse|trace (interpreter optimisation level;\n\
-     \u{20}               observationally identical — same profiles, same capture\n\
-     \u{20}               bytes — only faster; default off, `serve` defaults trace)\n\
+     \u{20}               --vm-opt off|fuse (interpreter dispatch level; default\n\
+     \u{20}               fuse; `off` is the unfused reference — same profiles,\n\
+     \u{20}               same capture bytes, only slower)\n\
      \u{20}               --jobs N (record once, shard the replay over N threads;\n\
      \u{20}               the profile is byte-identical to a sequential run)\n\
      \u{20}               --capture FILE (gprof/tquad/quad/phases/intervals:\n\
@@ -463,7 +462,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     match cmd.as_str() {
         "run" => {
             let app = app_for(&args)?;
-            let opt = vm_opt(&args, tq_vm::VmOpt::Off)?;
+            let opt = vm_opt(&args)?;
             let mut vm = app.make_vm(opt)?;
             if let Some(mode) = instr_arg(&args)? {
                 vm.set_instr_mode(mode)?;
@@ -492,14 +491,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 s.blocks_built, s.block_execs, s.cache_hits
             );
             if opt != tq_vm::VmOpt::Off {
-                println!(
-                    "vm-opt {opt}: {} blocks fused, {} traces recorded, \
-                     {} side exits, {:.1}% of instructions in traces",
-                    s.blocks_fused,
-                    s.traces_recorded,
-                    s.trace_side_exits,
-                    s.trace_instr_share(exit.icount) * 100.0
-                );
+                println!("vm-opt {opt}: {} blocks fused", s.blocks_fused);
             }
             if let Some(info) = vm.instr_info() {
                 println!(
@@ -517,10 +509,10 @@ fn run(argv: &[String]) -> Result<(), Failure> {
             // the encoded capture to disk — the offline artifact every
             // analysis tool can replay. The file is byte-identical
             // whatever `--vm-opt` level recorded it; `scripts/verify.sh`
-            // diffs an `off` capture against a `trace` capture to hold
-            // the interpreter optimisations to that contract.
+            // diffs an `off` capture against a `fuse` capture to hold
+            // superinstruction fusion to that contract.
             let app = app_for(&args)?;
-            let opt = vm_opt(&args, tq_vm::VmOpt::Off)?;
+            let opt = vm_opt(&args)?;
             let out = args
                 .get("out")
                 .ok_or("capture requires --out FILE (the trace file to write)")?;
@@ -569,13 +561,10 @@ fn run(argv: &[String]) -> Result<(), Failure> {
             let written = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
                 "capture written to {out}: {} events, {written} bytes, digest {}",
-                trace.events.len(),
+                trace.n_events,
                 trace.digest()
             );
-            eprintln!(
-                "# vm-opt {opt}: {} blocks fused, {} traces recorded, {} side exits",
-                s.blocks_fused, s.traces_recorded, s.trace_side_exits
-            );
+            eprintln!("# vm-opt {opt}: {} blocks fused", s.blocks_fused);
             if let Some(info) = vm.instr_info() {
                 eprintln!(
                     "# instr {}: {:.1}% of instructions covered, {} gap(s)",
@@ -824,7 +813,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     0 => None,
                     n => Some(n),
                 },
-                vm_opt: vm_opt(&args, defaults.vm_opt)?,
                 max_conns: args.positive_u64_or("max-conns", defaults.max_conns as u64)? as usize,
                 read_timeout: match args.u64_or(
                     "read-timeout-ms",

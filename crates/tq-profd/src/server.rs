@@ -30,7 +30,7 @@
 
 use crate::apps::{AppId, Scale, Workload};
 use crate::cache::{CaptureSource, CaptureStore};
-use crate::exec::{record_capture_opt, run_tool};
+use crate::exec::{record_capture_with_stats, run_tool};
 use crate::fleet::{FleetConfig, FleetState};
 use crate::protocol::{
     hex_encode, job_id_hex, mint_job_id, JobSpec, Request, Response, PEEK_FRAME_BYTES,
@@ -68,10 +68,6 @@ pub struct ServerConfig {
     pub job_timeout: Duration,
     /// Instruction budget for capture runs (`None` = unbounded).
     pub capture_fuel: Option<u64>,
-    /// Interpreter optimisation level for capture runs. Every level
-    /// produces byte-identical captures (and so identical memoized
-    /// results); the long-lived daemon defaults to the fastest.
-    pub vm_opt: tq_vm::VmOpt,
     /// Maximum concurrently served connections. One over the limit is
     /// answered with a single `busy` line and closed before a connection
     /// thread exists for it.
@@ -109,7 +105,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             job_timeout: Duration::from_secs(600),
             capture_fuel: None,
-            vm_opt: tq_vm::VmOpt::Trace,
             max_conns: 256,
             read_timeout: Some(Duration::from_secs(300)),
             peers: Vec::new(),
@@ -439,7 +434,6 @@ impl Shared {
             }
         }
         let fuel = self.config.capture_fuel;
-        let vm_opt = self.config.vm_opt;
         let mut capture_stats = None;
         let mut peeked = false;
         let capture_t0 = Instant::now();
@@ -460,7 +454,7 @@ impl Shared {
             let w = prebuilt
                 .take()
                 .unwrap_or_else(|| Workload::build(spec.app, spec.scale));
-            let (trace, stats) = record_capture_opt(&w, fuel, vm_opt)?;
+            let (trace, stats) = record_capture_with_stats(&w, fuel)?;
             capture_stats = Some(stats);
             Ok(trace)
         })?;
@@ -480,8 +474,6 @@ impl Shared {
             // numbers process-wide via the `tq_vm_*` metrics).
             if let Some(s) = capture_stats {
                 st.vm_blocks_fused += s.blocks_fused;
-                st.vm_traces_recorded += s.traces_recorded;
-                st.vm_trace_side_exits += s.trace_side_exits;
             }
         }
         match source {
@@ -605,13 +597,12 @@ impl Shared {
             .unwrap_or(true);
         let trace = if owned {
             let fuel = self.config.capture_fuel;
-            let vm_opt = self.config.vm_opt;
             let mut capture_stats = None;
             let recorded = self.store.get_or_record(digest, || {
                 let w = prebuilt
                     .take()
                     .unwrap_or_else(|| Workload::build(app, scale));
-                let (trace, stats) = record_capture_opt(&w, fuel, vm_opt)?;
+                let (trace, stats) = record_capture_with_stats(&w, fuel)?;
                 capture_stats = Some(stats);
                 Ok(trace)
             });
@@ -625,8 +616,6 @@ impl Shared {
                     }
                     if let Some(s) = capture_stats {
                         st.vm_blocks_fused += s.blocks_fused;
-                        st.vm_traces_recorded += s.traces_recorded;
-                        st.vm_trace_side_exits += s.trace_side_exits;
                     }
                     drop(st);
                     match source {
@@ -773,7 +762,6 @@ impl Shared {
             "capture_bytes_in_memory",
             Json::from(self.store.mem_bytes()),
         );
-        j.set("vm_opt", Json::from(self.config.vm_opt.to_string()));
         j.set(
             "role",
             Json::from(if self.fleet.is_some() {

@@ -108,10 +108,6 @@ pub struct ServiceStats {
     pub reduced_jobs: u64,
     /// Blocks fused by capture-run interpreters (see `tq_vm::VmStats`).
     pub vm_blocks_fused: u64,
-    /// Hot-loop traces recorded by capture-run interpreters.
-    pub vm_traces_recorded: u64,
-    /// Trace side-exits taken by capture-run interpreters.
-    pub vm_trace_side_exits: u64,
     /// Per-tool job latency (tquad, quad, gprof, phases).
     pub latency: [LatencyHisto; 4],
 }
@@ -186,8 +182,6 @@ impl ServiceStats {
             ("slow_jobs", Json::from(self.slow_jobs)),
             ("reduced_jobs", Json::from(self.reduced_jobs)),
             ("vm_blocks_fused", Json::from(self.vm_blocks_fused)),
-            ("vm_traces_recorded", Json::from(self.vm_traces_recorded)),
-            ("vm_trace_side_exits", Json::from(self.vm_trace_side_exits)),
             ("latency", tools),
         ])
     }

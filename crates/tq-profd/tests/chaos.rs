@@ -108,25 +108,31 @@ fn queue_full_yields_busy_and_retry_succeeds() {
         Duration::from_millis(500),
     ));
 
-    let occupants: Vec<_> = (1..=2)
-        .map(|n| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).expect("connect");
-                c.submit(spec_n(n))
-            })
+    let occupy = |n: u64| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).expect("connect");
+            c.submit(spec_n(n))
         })
-        .collect();
-    // Wait until both occupants actually landed (one in the worker, one in
-    // the queue) — a fixed sleep flakes under load.
-    wait_for(Duration::from_secs(5), || {
+    };
+    let gauges = || {
         let stats = Client::connect(&addr)
             .expect("connect for stats")
             .stats()
             .expect("stats");
-        stats.get("busy_workers").and_then(Json::as_u64) == Some(1)
-            && stats.get("queue_len").and_then(Json::as_u64) == Some(1)
-    });
+        (
+            stats.get("busy_workers").and_then(Json::as_u64),
+            stats.get("queue_len").and_then(Json::as_u64),
+        )
+    };
+    // Land the occupants one at a time — the first in the worker, then the
+    // second in the queue. Submitted together, both could arrive before
+    // the worker pops the first, and the one-slot queue would shed the
+    // second. A fixed sleep flakes under load, so poll the gauges.
+    let mut occupants = vec![occupy(1)];
+    wait_for(Duration::from_secs(5), || gauges().0 == Some(1));
+    occupants.push(occupy(2));
+    wait_for(Duration::from_secs(5), || gauges() == (Some(1), Some(1)));
 
     let resp = client
         .request(&tq_profd::Request::Submit {

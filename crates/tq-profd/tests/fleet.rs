@@ -118,10 +118,9 @@ fn non_owner_submit_records_once_fleetwide_via_peek() {
     assert_eq!(u64_at(&non_owner_stats, &["fleet", "peek_fetches"]), 1);
     assert_eq!(u64_at(&non_owner_stats, &["fleet", "remote_owned_jobs"]), 1);
 
-    // Both members report their fleet role and vm_opt in stats.
+    // Both members report their fleet role in stats.
     for stats in [&owner_stats, &non_owner_stats] {
         assert_eq!(stats.get("role").and_then(Json::as_str), Some("fleet"));
-        assert_eq!(stats.get("vm_opt").and_then(Json::as_str), Some("trace"));
     }
 
     // A repeat on the non-owner is a pure memo hit — still one recording.
@@ -274,7 +273,6 @@ fn single_node_reports_single_role() {
     let addr = server.local_addr().to_string();
     let stats = stats_of(&addr);
     assert_eq!(stats.get("role").and_then(Json::as_str), Some("single"));
-    assert_eq!(stats.get("vm_opt").and_then(Json::as_str), Some("trace"));
     assert!(stats.get("fleet").is_none(), "{stats:?}");
     let _ = Client::connect(&addr).and_then(|mut c| c.shutdown());
     server.join().expect("clean join");

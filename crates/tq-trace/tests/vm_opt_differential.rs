@@ -2,8 +2,8 @@
 //! profile level: for the wfs and imgproc case studies and for randomized
 //! kernelc programs, the captured trace must be *byte-identical* and the
 //! tquad/quad/gprof profiles must be identical whichever `--vm-opt` level
-//! (`off`/`fuse`/`trace`) the capture ran under — including runs that
-//! exhaust their fuel mid-block and mid-trace.
+//! (`off`/`fuse`) the capture ran under — including runs that exhaust their
+//! fuel mid-block.
 
 use tq_gprof::{GprofOptions, GprofTool};
 use tq_isa::prng::Rng;
@@ -130,46 +130,35 @@ fn assert_mode_invariant(a: &Capture, b: &Capture, what: &str) {
     );
 }
 
-fn sweep(make_vm: impl Fn() -> Vm, fuel: Option<u64>, what: &str) -> [Capture; 3] {
+fn sweep(make_vm: impl Fn() -> Vm, fuel: Option<u64>, what: &str) -> [Capture; 2] {
     let off = capture(make_vm(), VmOpt::Off, fuel);
     let fuse = capture(make_vm(), VmOpt::Fuse, fuel);
-    let trace = capture(make_vm(), VmOpt::Trace, fuel);
     assert_mode_invariant(&off, &fuse, &format!("{what}: off vs fuse"));
-    assert_mode_invariant(&off, &trace, &format!("{what}: off vs trace"));
-    [off, fuse, trace]
+    [off, fuse]
 }
 
 #[test]
 fn wfs_capture_is_mode_invariant() {
     let app = tq_wfs::WfsApp::build(tq_wfs::WfsConfig::tiny());
-    let [_, fuse, trace] = sweep(|| app.make_vm(), None, "wfs");
+    let [_, fuse] = sweep(|| app.make_vm(), None, "wfs");
     assert!(fuse.stats.blocks_fused >= 1, "wfs: fusion never engaged");
-    assert!(
-        trace.stats.traces_recorded >= 1,
-        "wfs: no hot loop was traced"
-    );
-    assert!(trace.stats.trace_instrs > 0, "wfs: traces never executed");
 }
 
 #[test]
 fn imgproc_capture_is_mode_invariant() {
     let app = tq_imgproc::ImgApp::build(tq_imgproc::ImgConfig::tiny());
-    let [_, fuse, trace] = sweep(|| app.make_vm(), None, "imgproc");
+    let [_, fuse] = sweep(|| app.make_vm(), None, "imgproc");
     assert!(
         fuse.stats.blocks_fused >= 1,
         "imgproc: fusion never engaged"
     );
-    assert!(
-        trace.stats.traces_recorded >= 1,
-        "imgproc: no hot loop was traced"
-    );
 }
 
 #[test]
-fn wfs_fuel_exhaustion_mid_trace_is_mode_invariant() {
+fn wfs_fuel_exhaustion_mid_run_is_mode_invariant() {
     let app = tq_wfs::WfsApp::build(tq_wfs::WfsConfig::tiny());
-    // Find the full cost, then cut fuel to land mid-run — long after the
-    // hot threshold, so `trace` mode is inside lowered iterations.
+    // Find the full cost, then cut fuel to land mid-run, deep inside the
+    // hot loops.
     let full = capture(app.make_vm(), VmOpt::Off, None);
     let total: u64 = full
         .outcome
@@ -179,7 +168,7 @@ fn wfs_fuel_exhaustion_mid_trace_is_mode_invariant() {
         .parse()
         .unwrap();
     for cut in [total / 2, total / 3, total - 7] {
-        let [off, _, _] = sweep(|| app.make_vm(), Some(cut), "wfs fueled");
+        let [off, _] = sweep(|| app.make_vm(), Some(cut), "wfs fueled");
         assert!(
             off.outcome.contains("budget exhausted"),
             "fuel {cut} unexpectedly sufficed"
@@ -188,8 +177,8 @@ fn wfs_fuel_exhaustion_mid_trace_is_mode_invariant() {
 }
 
 /// A random loopy kernelc program with plenty of memory traffic: an outer
-/// hot loop (well past the trace threshold) over random read-modify-write
-/// statements on a 16-slot array, plus a checksum reduction.
+/// hot loop over random read-modify-write statements on a 16-slot array,
+/// plus a checksum reduction.
 fn random_loop_module(rng: &mut Rng) -> Module {
     let iters = rng.i64_in(80, 400);
     let mut inner = vec![];
@@ -225,13 +214,13 @@ fn random_loop_module(rng: &mut Rng) -> Module {
 #[test]
 fn randomized_kernelc_captures_are_mode_invariant() {
     let mut rng = Rng::new(0x07D1_FF6A);
-    let mut traced_any = false;
+    let mut fused_any = false;
     for case in 0..cases(12) {
         let m = random_loop_module(&mut rng);
         let program = compile(&m).expect("compiles").program;
         let mk = || Vm::new(program.clone()).expect("loads");
-        let [off, _, trace] = sweep(&mk, None, &format!("kernelc case {case}"));
-        traced_any |= trace.stats.traces_recorded > 0;
+        let [off, fuse] = sweep(&mk, None, &format!("kernelc case {case}"));
+        fused_any |= fuse.stats.blocks_fused > 0;
 
         // And a fueled variant cutting the run mid-way.
         let total: u64 = off
@@ -245,5 +234,5 @@ fn randomized_kernelc_captures_are_mode_invariant() {
             sweep(&mk, Some(total / 2), &format!("kernelc case {case} fueled"));
         }
     }
-    assert!(traced_any, "no random program ever recorded a trace");
+    assert!(fused_any, "no random program ever fused a block");
 }

@@ -10,10 +10,6 @@
 //! per-instruction sequence exactly (over the unfused body), so boundary
 //! behaviour — which instruction exhausts fuel, where a tick fires — is
 //! bit-identical to the baseline by construction.
-//!
-//! In [`VmOpt::Trace`], the loop additionally checks for an executable
-//! trace at the current pc before dispatching, and profiles back-edges
-//! after every block (see [`crate::trace`]).
 
 use crate::vm::{Block, Next, RunExit, Vm, VmError, VmOpt};
 use tq_isa::INST_BYTES;
@@ -27,21 +23,10 @@ impl Vm {
             .unwrap_or(u64::MAX);
 
         loop {
-            if self.vm_opt == VmOpt::Trace && self.recording.is_none() {
-                if let Some(tr) = self.traces.get(&self.pc) {
-                    let tr = tr.clone();
-                    if crate::trace::can_enter(self, &tr, fuel_limit) {
-                        self.pc = crate::trace::run_trace(self, &tr, fuel_limit)?;
-                        continue;
-                    }
-                }
-            }
-
             let block = self.fetch_block(self.pc)?;
             self.stats.block_execs += 1;
-            let block_pc = self.pc;
 
-            let next_pc = match self.exec_block(&block, fuel_limit)? {
+            self.pc = match self.exec_block(&block, fuel_limit)? {
                 // Fallthrough off the end of a block that stopped at a
                 // routine boundary or image end.
                 Next::Fall => block.insts.last().expect("blocks are non-empty").pc + INST_BYTES,
@@ -54,10 +39,6 @@ impl Vm {
                     });
                 }
             };
-            if self.vm_opt == VmOpt::Trace {
-                crate::trace::after_block(self, &block, block_pc, next_pc);
-            }
-            self.pc = next_pc;
         }
     }
 
@@ -71,17 +52,17 @@ impl Vm {
         let stop = self.next_tick.min(self.instr_gate.next_edge());
         if end <= fuel_limit && end < stop {
             if self.vm_opt == VmOpt::Off {
-                for (i, d) in block.insts.iter().enumerate() {
+                for d in block.insts.iter() {
                     self.icount += 1;
                     self.fire_rtn_enter(d);
-                    match self.exec::<false>(d, 0, i as u16)? {
+                    match self.exec(d)? {
                         Next::Fall => {}
                         other => return Ok(other),
                     }
                 }
             } else {
                 for op in block.ops.iter() {
-                    match crate::fuse::exec_op::<false>(self, block, op, 0)? {
+                    match crate::fuse::exec_op(self, block, op)? {
                         Next::Fall => {}
                         other => return Ok(other),
                     }
@@ -90,7 +71,7 @@ impl Vm {
         } else {
             // Boundary-exact slow path: the original interpreter's
             // per-instruction check sequence, over the unfused body.
-            for (i, d) in block.insts.iter().enumerate() {
+            for d in block.insts.iter() {
                 if self.icount >= fuel_limit {
                     return Err(VmError::FuelExhausted {
                         icount: self.icount,
@@ -104,7 +85,7 @@ impl Vm {
                 // the fast path never crosses one.
                 self.instr_gate.advance(self.icount);
                 self.fire_rtn_enter(d);
-                match self.exec::<false>(d, 0, i as u16)? {
+                match self.exec(d)? {
                     Next::Fall => {}
                     other => return Ok(other),
                 }

@@ -62,38 +62,24 @@ pub(crate) fn build_ops(insts: &[DecodedInst]) -> Box<[BlockOp]> {
 /// Execute one [`BlockOp`] on the *fast* path: the caller has already
 /// guaranteed that neither the fuel limit nor a tick boundary can fall
 /// inside the remainder of the block, so per-instruction checks are
-/// skipped. `seg` locates the block inside the executing trace for buffered
-/// event delivery (`BUF = true`); it is ignored otherwise.
+/// skipped.
 #[inline]
-pub(crate) fn exec_op<const BUF: bool>(
-    vm: &mut Vm,
-    block: &Block,
-    op: &BlockOp,
-    seg: u32,
-) -> Result<Next, VmError> {
+pub(crate) fn exec_op(vm: &mut Vm, block: &Block, op: &BlockOp) -> Result<Next, VmError> {
     match *op {
         BlockOp::Single(i) => {
             let d = &block.insts[i as usize];
             vm.icount += 1;
-            if !BUF {
-                vm.fire_rtn_enter(d);
-            }
-            vm.exec::<BUF>(d, seg, i)
+            vm.fire_rtn_enter(d);
+            vm.exec(d)
         }
-        BlockOp::Fused { ref f, base } => exec_fused::<BUF>(vm, block, f, base, seg),
+        BlockOp::Fused { ref f, base } => exec_fused(vm, block, f, base),
     }
 }
 
 /// Execute a fused group. Register reads happen at each constituent's turn
 /// (from the live register file), so intra-group def-use chains and aliasing
 /// match the unfused interpreter exactly.
-fn exec_fused<const BUF: bool>(
-    vm: &mut Vm,
-    block: &Block,
-    f: &Fused,
-    base: u16,
-    seg: u32,
-) -> Result<Next, VmError> {
+fn exec_fused(vm: &mut Vm, block: &Block, f: &Fused, base: u16) -> Result<Next, VmError> {
     let merr = |pc: u64| move |err| VmError::Mem { pc, err };
     match *f {
         Fused::AddrLd {
@@ -114,7 +100,7 @@ fn exec_fused<const BUF: bool>(
             let size = width.bytes();
             let v = vm.mem.read_uint(ea, size).map_err(merr(d.pc))?;
             vm.regs[rd.idx()] = v;
-            vm.fire_mem_read::<BUF>(d, seg, base + 1, ea, size, false);
+            vm.fire_mem_read(d, ea, size, false);
         }
         Fused::AddrFLd {
             a_rd,
@@ -132,7 +118,7 @@ fn exec_fused<const BUF: bool>(
             let ea = addr.wrapping_add(off as i64 as u64);
             let v = vm.mem.read_f64(ea).map_err(merr(d.pc))?;
             vm.fregs[fd.idx()] = v;
-            vm.fire_mem_read::<BUF>(d, seg, base + 1, ea, 8, false);
+            vm.fire_mem_read(d, ea, 8, false);
         }
         Fused::LdOp {
             rd,
@@ -148,7 +134,7 @@ fn exec_fused<const BUF: bool>(
             let size = width.bytes();
             let v = vm.mem.read_uint(ea, size).map_err(merr(d.pc))?;
             vm.regs[rd.idx()] = v;
-            vm.fire_mem_read::<BUF>(d, seg, base, ea, size, false);
+            vm.fire_mem_read(d, ea, size, false);
 
             vm.icount += 1;
             vm.regs[o_rd.idx()] = v.wrapping_add(o_imm as i64 as u64);
@@ -171,7 +157,7 @@ fn exec_fused<const BUF: bool>(
             let ea = vm.regs[b.idx()].wrapping_add(off as i64 as u64);
             let size = width.bytes();
             vm.mem.write_uint(ea, size, val).map_err(merr(d.pc))?;
-            vm.fire_mem_write::<BUF>(d, seg, base + 1, ea, size);
+            vm.fire_mem_write(d, ea, size);
         }
         Fused::LdOpSt {
             rd,
@@ -190,7 +176,7 @@ fn exec_fused<const BUF: bool>(
             let size = width.bytes();
             let v = vm.mem.read_uint(ea, size).map_err(merr(d.pc))?;
             vm.regs[rd.idx()] = v;
-            vm.fire_mem_read::<BUF>(d, seg, base, ea, size, false);
+            vm.fire_mem_read(d, ea, size, false);
 
             vm.icount += 1;
             let w = v.wrapping_add(o_imm as i64 as u64);
@@ -202,7 +188,7 @@ fn exec_fused<const BUF: bool>(
             let s_ea = vm.regs[s_base.idx()].wrapping_add(s_off as i64 as u64);
             let s_size = s_width.bytes();
             vm.mem.write_uint(s_ea, s_size, w).map_err(merr(d.pc))?;
-            vm.fire_mem_write::<BUF>(d, seg, base + 2, s_ea, s_size);
+            vm.fire_mem_write(d, s_ea, s_size);
         }
         Fused::IncBr {
             a_rd,

@@ -27,7 +27,6 @@ pub mod layout;
 pub mod mem;
 mod obs;
 pub mod tool;
-mod trace;
 pub mod vm;
 
 pub use hostfs::{FsMode, HostFs};

@@ -288,15 +288,12 @@ pub trait Tool: AsAny {
     fn on_event(&mut self, ev: &Event);
 
     /// Analysis time, batched: a run of subscribed events delivered
-    /// together, in execution order. The VM's trace executor buffers the
-    /// events of one hot-loop iteration and hands them over in a single
-    /// call, replacing one virtual dispatch *per event* with one per batch
-    /// (the per-event calls inside the default body are statically
-    /// dispatched in the monomorphised impl). Receiving
-    /// `on_events(&[a, b])` must be indistinguishable from receiving
-    /// `on_event(&a)` then `on_event(&b)` — the default implementation
-    /// guarantees that, and overriders must preserve it, because profile
-    /// byte-identity across `--vm-opt` modes depends on it.
+    /// together, in execution order. The VM itself delivers one event at a
+    /// time through [`Tool::on_event`]; this entry point is for callers
+    /// that hold a slice of events already (a replay loop, a benchmark).
+    /// Receiving `on_events(&[a, b])` must be indistinguishable from
+    /// receiving `on_event(&a)` then `on_event(&b)` — the default
+    /// implementation guarantees that, and overriders must preserve it.
     fn on_events(&mut self, evs: &[Event]) {
         for ev in evs {
             self.on_event(ev);

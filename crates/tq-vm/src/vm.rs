@@ -14,6 +14,7 @@ use crate::layout;
 use crate::mem::{Memory, OutOfRange};
 use crate::tool::{hooks, Event, HookMask, InsContext, ProgramInfo, RoutineMeta, Tool};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use tq_isa::{abi, DecodeError, HostFn, Inst, Program, RoutineId, INST_BYTES};
 
@@ -100,9 +101,8 @@ impl std::error::Error for VmError {}
 ///
 /// The first seven fields are *mode-invariant*: they must come out
 /// byte-identical whichever [`VmOpt`] level the VM runs at (the
-/// differential test suite enforces this). The trailing fields describe the
-/// optimisation machinery itself and are naturally zero below the mode that
-/// introduces them.
+/// differential test suite enforces this). `blocks_fused` describes the
+/// fusion pass itself and is zero under [`VmOpt::Off`].
 #[derive(Clone, Copy, Default, Debug)]
 pub struct VmStats {
     /// Basic blocks decoded (and instrumented).
@@ -120,50 +120,29 @@ pub struct VmStats {
     /// Data-memory writes executed.
     pub mem_writes: u64,
     /// Blocks whose decode produced at least one fused superinstruction
-    /// ([`VmOpt::Fuse`] and above).
+    /// ([`VmOpt::Fuse`]).
     pub blocks_fused: u64,
-    /// Hot-loop traces recorded and installed ([`VmOpt::Trace`]).
-    pub traces_recorded: u64,
-    /// Guard failures that fell back from a trace to the interpreter.
-    pub trace_side_exits: u64,
-    /// Instructions retired inside lowered traces.
-    pub trace_instrs: u64,
     /// Memory events suppressed by a reduced instrumentation mode
     /// (`--instr sample|converge`); always 0 under full instrumentation.
     pub instr_suppressed: u64,
 }
 
-impl VmStats {
-    /// Fraction of all retired instructions that ran inside lowered traces
-    /// (0.0 when nothing ran). `final_icount` is the run's total
-    /// instruction count, e.g. [`RunExit::icount`].
-    pub fn trace_instr_share(&self, final_icount: u64) -> f64 {
-        if final_icount == 0 {
-            0.0
-        } else {
-            self.trace_instrs as f64 / final_icount as f64
-        }
-    }
-}
-
-/// Hot-loop optimisation level of the interpreter. Every level is
-/// observationally identical — fuel accounting, [`VmStats`] core fields,
-/// captured traces and tool profiles stay byte-for-byte the same — the
-/// levels only trade decode-time work for execution speed.
+/// Dispatch level of the interpreter. Both levels are observationally
+/// identical — fuel accounting, [`VmStats`] core fields, captured traces
+/// and tool profiles stay byte-for-byte the same — they only trade
+/// decode-time work for execution speed. [`VmOpt::Fuse`] is what every
+/// production path runs; [`VmOpt::Off`] stays as the unfused reference the
+/// differential suites compare it against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum VmOpt {
-    /// Block-level pre-decoded dispatch only (the baseline): fuel and tick
-    /// checks are hoisted to block granularity when no boundary can fall
-    /// inside the block.
-    #[default]
+    /// Block-level pre-decoded dispatch only: fuel and tick checks are
+    /// hoisted to block granularity when no boundary can fall inside the
+    /// block.
     Off,
     /// Adds superinstruction fusion: a peephole pass at block decode time
     /// collapses dominant pairs/triples into single [`tq_isa::Fused`] ops.
+    #[default]
     Fuse,
-    /// Adds hot-loop trace recording: back-edge-hot loops are lowered to
-    /// straight-line traces with entry guards and side-exits, and their
-    /// analysis events are flushed to tools once per loop iteration.
-    Trace,
 }
 
 impl VmOpt {
@@ -172,8 +151,7 @@ impl VmOpt {
         match s {
             "off" => Ok(VmOpt::Off),
             "fuse" => Ok(VmOpt::Fuse),
-            "trace" => Ok(VmOpt::Trace),
-            other => Err(format!("unknown vm-opt `{other}` (off|fuse|trace)")),
+            other => Err(format!("unknown vm-opt `{other}` (off|fuse)")),
         }
     }
 }
@@ -183,7 +161,6 @@ impl std::fmt::Display for VmOpt {
         f.write_str(match self {
             VmOpt::Off => "off",
             VmOpt::Fuse => "fuse",
-            VmOpt::Trace => "trace",
         })
     }
 }
@@ -201,17 +178,39 @@ pub(crate) struct DecodedInst {
 }
 
 /// A cached basic block: the dense pre-decoded instruction array, plus (in
-/// [`VmOpt::Fuse`] and above) the fused dispatch plan over it.
+/// [`VmOpt::Fuse`]) the fused dispatch plan over it.
 pub(crate) struct Block {
     pub(crate) insts: Box<[DecodedInst]>,
     /// Fused dispatch plan ([`crate::fuse::BlockOp`] per dispatch). Empty
     /// in [`VmOpt::Off`]; the slow path always walks `insts` instead.
     pub(crate) ops: Box<[crate::fuse::BlockOp]>,
-    /// True when the block may be recorded into a hot-loop trace: it ends
-    /// in a branch/jump/fallthrough (not call/return/halt/exit), performs
-    /// no host calls, and does not begin a routine.
-    pub(crate) traceable: bool,
 }
+
+/// Hasher of the code cache, whose keys are block start addresses. The
+/// dispatcher looks the cache up once per executed block, where the
+/// default SipHash costs a visible share of dispatch time; one multiply
+/// (with the high half folded down, since instruction addresses share
+/// their low bits) spreads addresses well enough. Nothing iterates the
+/// cache, so no output depends on the resulting order.
+#[derive(Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the code cache is keyed by u64 addresses only")
+    }
+
+    fn write_u64(&mut self, pc: u64) {
+        let h = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type BlockCache = HashMap<u64, Rc<Block>, BuildHasherDefault<PcHasher>>;
 
 pub(crate) enum Next {
     Fall,
@@ -253,24 +252,13 @@ pub struct Vm {
     tick_interval: Vec<u64>,
     tick_due: Vec<u64>,
     pub(crate) next_tick: u64,
-    cache: HashMap<u64, Rc<Block>>,
+    cache: BlockCache,
     cache_enabled: bool,
     pub(crate) stats: VmStats,
     finished: bool,
     stack_limit: u64,
-    /// Hot-loop optimisation level; see [`Vm::set_vm_opt`].
+    /// Dispatch level; see [`Vm::set_vm_opt`].
     pub(crate) vm_opt: VmOpt,
-    /// Executable lowered traces, keyed by loop-head address.
-    pub(crate) traces: HashMap<u64, Rc<crate::trace::ExecTrace>>,
-    /// Back-edge execution counters per branch-target address;
-    /// [`crate::trace::ABORTED`] marks heads that failed to record.
-    pub(crate) hot: HashMap<u64, u32>,
-    /// In-progress trace recording, if any.
-    pub(crate) recording: Option<crate::trace::Recording>,
-    /// Event buffer of the executing trace iteration.
-    pub(crate) ev_buf: Vec<crate::trace::Pending>,
-    /// Per-tool scratch for batched flushes (kept to reuse its allocation).
-    pub(crate) ev_scratch: Vec<Event>,
     /// Instrumentation mode; see [`Vm::set_instr_mode`].
     instr_mode: InstrMode,
     /// Per-routine "never instrument" flags resolved from the mode's
@@ -335,17 +323,12 @@ impl Vm {
             tick_interval: Vec::new(),
             tick_due: Vec::new(),
             next_tick: u64::MAX,
-            cache: HashMap::new(),
+            cache: BlockCache::default(),
             cache_enabled: true,
             stats: VmStats::default(),
             finished: false,
             stack_limit: layout::STACK_LIMIT,
             vm_opt: VmOpt::default(),
-            traces: HashMap::new(),
-            hot: HashMap::new(),
-            recording: None,
-            ev_buf: Vec::new(),
-            ev_scratch: Vec::new(),
             instr_mode: InstrMode::default(),
             instr_filtered: Vec::new(),
             instr_gate: InstrGate::new(&InstrMode::default(), 0),
@@ -413,28 +396,20 @@ impl Vm {
     /// Disable or re-enable the code cache. With the cache off, every block
     /// is re-decoded *and re-instrumented* on every execution — the naive
     /// instrumentation strategy Pin's design avoids; kept for the ablation
-    /// bench.
-    ///
-    /// Disabling the cache also drops every recorded hot-loop trace, the
-    /// back-edge counters and any in-progress recording, and hot-loop
-    /// machinery stays off while the cache is off: traces are built *from*
-    /// cached blocks, so keeping them alive would let the "naive
-    /// re-instrument" baseline silently keep its fastest path and skew the
-    /// ablation.
+    /// bench. Disabling drops every cached block; the dispatch level is
+    /// kept, so under [`VmOpt::Fuse`] each re-decode also rebuilds the
+    /// fused plan.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
         if !enabled {
             self.cache.clear();
-            self.traces.clear();
-            self.hot.clear();
-            self.recording = None;
         }
     }
 
-    /// Set the hot-loop optimisation level (see [`VmOpt`]). Call before
-    /// [`Vm::run`]: changing the level drops the code cache and all
-    /// recorded traces so blocks are re-decoded (and re-instrumented)
-    /// under the new level — mid-run switches therefore inflate
+    /// Set the dispatch level (see [`VmOpt`]; the default is
+    /// [`VmOpt::Fuse`]). Call before [`Vm::run`]: changing the level drops
+    /// the code cache so blocks are re-decoded (and re-instrumented) under
+    /// the new level — mid-run switches therefore inflate
     /// `blocks_built`/`instrument_calls` relative to a single-level run.
     pub fn set_vm_opt(&mut self, opt: VmOpt) {
         if opt == self.vm_opt {
@@ -442,14 +417,6 @@ impl Vm {
         }
         self.vm_opt = opt;
         self.cache.clear();
-        self.traces.clear();
-        self.hot.clear();
-        self.recording = None;
-    }
-
-    /// The current hot-loop optimisation level.
-    pub fn vm_opt(&self) -> VmOpt {
-        self.vm_opt
     }
 
     /// Set the instrumentation mode (see [`InstrMode`], DESIGN.md §14).
@@ -636,8 +603,8 @@ impl Vm {
         }
         self.stats.blocks_built += 1;
 
-        // Fused dispatch plan (stage 2). Only built above `Off`: the
-        // baseline keeps decode exactly as cheap as it was.
+        // Fused dispatch plan. Not built under `Off`: the reference
+        // level keeps decode exactly as cheap as it was.
         let ops = if self.vm_opt != VmOpt::Off {
             crate::fuse::build_ops(&insts)
         } else {
@@ -650,17 +617,9 @@ impl Vm {
             self.stats.blocks_fused += 1;
         }
 
-        let last = insts.last().expect("blocks are non-empty");
-        let ender_ok =
-            matches!(last.inst, Inst::Br { .. } | Inst::Jmp { .. }) || !last.inst.ends_block();
-        let traceable = ender_ok
-            && !insts[0].rtn_enter
-            && insts.iter().all(|d| !matches!(d.inst, Inst::Host { .. }));
-
         Ok(Block {
             insts: insts.into_boxed_slice(),
             ops,
-            traceable,
         })
     }
 
@@ -690,40 +649,8 @@ impl Vm {
         }
     }
 
-    /// Deliver (or, inside a trace iteration with `BUF = true`, defer) one
-    /// analysis event. Buffered events are flushed to tools in execution
-    /// order once per trace iteration by [`crate::trace::flush_events`].
     #[inline]
-    fn emit<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-        bit: HookMask,
-        ev: Event,
-    ) {
-        if BUF {
-            self.ev_buf.push(crate::trace::Pending {
-                seg,
-                inst: idx,
-                bit,
-                ev,
-            });
-        } else {
-            self.dispatch(d, bit, &ev);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn fire_mem_read<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-        ea: u64,
-        size: u32,
-        is_prefetch: bool,
-    ) {
+    pub(crate) fn fire_mem_read(&mut self, d: &DecodedInst, ea: u64, size: u32, is_prefetch: bool) {
         if !is_prefetch {
             self.stats.mem_reads += 1;
         }
@@ -746,18 +673,11 @@ impl Vm {
             icount: self.icount,
             rtn: d.rtn,
         };
-        self.emit::<BUF>(d, seg, idx, hooks::MEM_READ, ev);
+        self.dispatch(d, hooks::MEM_READ, &ev);
     }
 
     #[inline]
-    pub(crate) fn fire_mem_write<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-        ea: u64,
-        size: u32,
-    ) {
+    pub(crate) fn fire_mem_write(&mut self, d: &DecodedInst, ea: u64, size: u32) {
         self.stats.mem_writes += 1;
         if d.hooks.is_empty() {
             return;
@@ -774,14 +694,13 @@ impl Vm {
             icount: self.icount,
             rtn: d.rtn,
         };
-        self.emit::<BUF>(d, seg, idx, hooks::MEM_WRITE, ev);
+        self.dispatch(d, hooks::MEM_WRITE, &ev);
     }
 
     /// Fire the routine-entry analysis event if this decoded instruction
     /// heads a routine and any tool subscribed. Only the first instruction
     /// of a block can be a routine head (blocks never cross routine
-    /// boundaries), and traceable blocks exclude routine heads, so this is
-    /// never reached from inside a trace.
+    /// boundaries).
     #[inline]
     pub(crate) fn fire_rtn_enter(&mut self, d: &DecodedInst) {
         if d.rtn_enter && !d.hooks.is_empty() {
@@ -817,7 +736,7 @@ impl Vm {
             return;
         }
         self.finished = true;
-        crate::obs::publish(&self.stats, self.icount);
+        crate::obs::publish(&self.stats);
         let icount = self.icount;
         // Reduced-instrumentation runs hand every tool the mode metadata
         // (what was dropped, and where) before its Fini callback, so
@@ -862,15 +781,8 @@ impl Vm {
         self.fregs[f.idx()]
     }
 
-    /// Execute one decoded instruction. `seg`/`idx` locate it inside the
-    /// executing trace segment for buffered event delivery (`BUF = true`);
-    /// both are ignored on the immediate-dispatch path (`BUF = false`).
-    pub(crate) fn exec<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-    ) -> Result<Next, VmError> {
+    /// Execute one decoded instruction.
+    pub(crate) fn exec(&mut self, d: &DecodedInst) -> Result<Next, VmError> {
         use Inst::*;
         let pc = d.pc;
         let merr = |err: OutOfRange| VmError::Mem { pc, err };
@@ -952,7 +864,7 @@ impl Vm {
                 let size = width.bytes();
                 let v = self.mem.read_uint(ea, size).map_err(merr)?;
                 self.regs[rd.idx()] = v;
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, size, false);
+                self.fire_mem_read(d, ea, size, false);
             }
             St {
                 rs,
@@ -963,32 +875,32 @@ impl Vm {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 let size = width.bytes();
                 self.mem.write_uint(ea, size, self.r(rs)).map_err(merr)?;
-                self.fire_mem_write::<BUF>(d, seg, idx, ea, size);
+                self.fire_mem_write(d, ea, size);
             }
             FLd { fd, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.fregs[fd.idx()] = self.mem.read_f64(ea).map_err(merr)?;
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, 8, false);
+                self.fire_mem_read(d, ea, 8, false);
             }
             FSt { fs, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.mem.write_f64(ea, self.f(fs)).map_err(merr)?;
-                self.fire_mem_write::<BUF>(d, seg, idx, ea, 8);
+                self.fire_mem_write(d, ea, 8);
             }
             FLd4 { fd, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.fregs[fd.idx()] = self.mem.read_f32(ea).map_err(merr)?;
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, 4, false);
+                self.fire_mem_read(d, ea, 4, false);
             }
             FSt4 { fs, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.mem.write_f32(ea, self.f(fs)).map_err(merr)?;
-                self.fire_mem_write::<BUF>(d, seg, idx, ea, 4);
+                self.fire_mem_write(d, ea, 4);
             }
             Prefetch { base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 // No architectural effect; the event fires flagged.
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, 8, true);
+                self.fire_mem_read(d, ea, 8, true);
             }
             PLd64 {
                 rd,
@@ -999,7 +911,7 @@ impl Vm {
                 if self.r(pred) != 0 {
                     let ea = self.r(base).wrapping_add(off as i64 as u64);
                     self.regs[rd.idx()] = self.mem.read_uint(ea, 8).map_err(merr)?;
-                    self.fire_mem_read::<BUF>(d, seg, idx, ea, 8, false);
+                    self.fire_mem_read(d, ea, 8, false);
                 }
             }
             PSt64 {
@@ -1011,7 +923,7 @@ impl Vm {
                 if self.r(pred) != 0 {
                     let ea = self.r(base).wrapping_add(off as i64 as u64);
                     self.mem.write_uint(ea, 8, self.r(rs)).map_err(merr)?;
-                    self.fire_mem_write::<BUF>(d, seg, idx, ea, 8);
+                    self.fire_mem_write(d, ea, 8);
                 }
             }
             BCpy { dst, src, len } => {
@@ -1034,8 +946,8 @@ impl Vm {
                     let mut buf = vec![0u8; n as usize];
                     self.mem.read(s_addr, &mut buf).map_err(merr)?;
                     self.mem.write(d_addr, &buf).map_err(merr)?;
-                    self.fire_mem_read::<BUF>(d, seg, idx, s_addr, n as u32, false);
-                    self.fire_mem_write::<BUF>(d, seg, idx, d_addr, n as u32);
+                    self.fire_mem_read(d, s_addr, n as u32, false);
+                    self.fire_mem_write(d, d_addr, n as u32);
                 }
             }
 
@@ -1052,17 +964,17 @@ impl Vm {
             }
             Call { target } => {
                 let t = target as u64;
-                return self.exec_call::<BUF>(d, seg, idx, t, d.static_callee);
+                return self.exec_call(d, t, d.static_callee);
             }
             CallR { rs } => {
                 let t = self.r(rs);
                 let callee = Self::rtn_at(&self.rtn_index, t);
-                return self.exec_call::<BUF>(d, seg, idx, t, callee);
+                return self.exec_call(d, t, callee);
             }
             Ret => {
                 let sp = self.r(abi::SP);
                 let ra = self.mem.read_uint(sp, 8).map_err(merr)?;
-                self.fire_mem_read::<BUF>(d, seg, idx, sp, 8, false);
+                self.fire_mem_read(d, sp, 8, false);
                 self.regs[abi::SP.idx()] = sp + 8;
                 if !d.hooks.is_empty() {
                     let ev = Event::Ret {
@@ -1071,7 +983,7 @@ impl Vm {
                         icount: self.icount,
                         rtn: d.rtn,
                     };
-                    self.emit::<BUF>(d, seg, idx, hooks::RET, ev);
+                    self.dispatch(d, hooks::RET, &ev);
                 }
                 return Ok(Next::Jump(ra));
             }
@@ -1083,11 +995,9 @@ impl Vm {
         Ok(Next::Fall)
     }
 
-    fn exec_call<const BUF: bool>(
+    fn exec_call(
         &mut self,
         d: &DecodedInst,
-        seg: u32,
-        idx: u16,
         target: u64,
         callee: RoutineId,
     ) -> Result<Next, VmError> {
@@ -1100,7 +1010,7 @@ impl Vm {
             .write_uint(sp, 8, ret_addr)
             .map_err(|err| VmError::Mem { pc: d.pc, err })?;
         self.regs[abi::SP.idx()] = sp;
-        self.fire_mem_write::<BUF>(d, seg, idx, sp, 8);
+        self.fire_mem_write(d, sp, 8);
         if !d.hooks.is_empty() {
             let ev = Event::Call {
                 ip: d.pc,
@@ -1108,7 +1018,7 @@ impl Vm {
                 icount: self.icount,
                 rtn: d.rtn,
             };
-            self.emit::<BUF>(d, seg, idx, hooks::CALL, ev);
+            self.dispatch(d, hooks::CALL, &ev);
         }
         Ok(Next::Jump(target))
     }

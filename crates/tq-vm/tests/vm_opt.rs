@@ -3,17 +3,16 @@
 //! Every [`VmOpt`] level must be observationally identical: same exit, same
 //! virtual clock, same register file, same analysis event stream (payloads
 //! *and* per-tool order), same mode-invariant [`VmStats`] — including at
-//! awkward boundaries (fuel running out mid-block and mid-trace, tool ticks
-//! landing inside would-be-fast blocks).
+//! awkward boundaries (fuel running out mid-block, tool ticks landing
+//! inside would-be-fast blocks).
 
 use tq_isa::{Asm, BrCond, Inst, MemWidth, Program, Reg};
-use tq_vm::{layout, standard_mask, Event, InsContext, Tool, Vm, VmError, VmOpt, VmStats};
+use tq_vm::{layout, standard_mask, Event, InsContext, Tool, Vm, VmOpt, VmStats};
 
 /// Records every event it can subscribe to, optionally ticking.
 struct Recorder {
     events: Vec<Event>,
     tick: Option<u64>,
-    batches: usize,
 }
 
 impl Recorder {
@@ -21,7 +20,6 @@ impl Recorder {
         Recorder {
             events: Vec::new(),
             tick,
-            batches: 0,
         }
     }
 }
@@ -39,16 +37,10 @@ impl Tool for Recorder {
     fn on_event(&mut self, ev: &Event) {
         self.events.push(*ev);
     }
-    fn on_events(&mut self, evs: &[Event]) {
-        self.batches += 1;
-        for ev in evs {
-            self.on_event(ev);
-        }
-    }
 }
 
 /// A memory-heavy counted loop (store + load-modify-store + induction
-/// branch), hot enough to cross the trace-recording threshold.
+/// branch): the shapes the fusion peephole targets.
 fn loop_program(iters: i32) -> Program {
     let mut a = Asm::new();
     a.begin_routine("main").unwrap();
@@ -110,7 +102,6 @@ struct Outcome {
     result: Result<(tq_vm::ExitReason, u64), String>,
     regs: Vec<u64>,
     events: Vec<Event>,
-    batches: usize,
     stats: VmStats,
 }
 
@@ -129,7 +120,6 @@ fn run_mode(program: Program, opt: VmOpt, fuel: Option<u64>, tick: Option<u64>) 
         result,
         regs,
         events: rec.events,
-        batches: rec.batches,
         stats,
     }
 }
@@ -153,83 +143,43 @@ fn assert_identical(a: &Outcome, b: &Outcome, what: &str) {
 fn modes_agree_on_memory_loop() {
     let off = run_mode(loop_program(500), VmOpt::Off, None, None);
     let fuse = run_mode(loop_program(500), VmOpt::Fuse, None, None);
-    let trace = run_mode(loop_program(500), VmOpt::Trace, None, None);
 
     assert_identical(&off, &fuse, "off vs fuse");
-    assert_identical(&off, &trace, "off vs trace");
 
     // The machinery actually engaged.
     assert_eq!(off.stats.blocks_fused, 0);
     assert!(fuse.stats.blocks_fused >= 1, "fusion found no blocks");
-    assert!(trace.stats.traces_recorded >= 1, "no trace recorded");
-    assert!(trace.stats.trace_instrs > 0, "trace never executed");
-    assert!(
-        trace.batches > 0,
-        "trace mode never delivered a batched flush"
-    );
-    let (_, icount) = trace.result.as_ref().unwrap();
-    let share = trace.stats.trace_instr_share(*icount);
-    assert!(share > 0.5, "trace share too low: {share}");
 }
 
 #[test]
 fn fuel_exhaustion_mid_block_is_identical() {
-    // Fuel chosen to run out in the middle of the loop body, well past the
-    // hot threshold so `trace` mode is executing lowered iterations.
+    // Fuel chosen to run out in the middle of the loop body, at several
+    // iteration depths.
     for fuel in [10, 647, 1201, 2003] {
         let off = run_mode(loop_program(500), VmOpt::Off, Some(fuel), None);
         let fuse = run_mode(loop_program(500), VmOpt::Fuse, Some(fuel), None);
-        let trace = run_mode(loop_program(500), VmOpt::Trace, Some(fuel), None);
         assert!(
             off.result.as_ref().is_err(),
             "fuel {fuel} unexpectedly sufficed"
         );
         assert_identical(&off, &fuse, "off vs fuse (fuel)");
-        assert_identical(&off, &trace, "off vs trace (fuel)");
     }
     // Sanity: the error really is fuel exhaustion.
-    let out = run_mode(loop_program(500), VmOpt::Trace, Some(1201), None);
+    let out = run_mode(loop_program(500), VmOpt::Fuse, Some(1201), None);
     assert!(out.result.unwrap_err().contains("budget exhausted"));
 }
 
 #[test]
 fn tick_boundaries_are_identical() {
     // A prime tick interval lands ticks at every possible offset inside
-    // blocks and would-be trace iterations.
+    // blocks.
     let off = run_mode(loop_program(300), VmOpt::Off, None, Some(7));
     let fuse = run_mode(loop_program(300), VmOpt::Fuse, None, Some(7));
-    let trace = run_mode(loop_program(300), VmOpt::Trace, None, Some(7));
     assert!(
         off.events.iter().any(|e| matches!(e, Event::Tick { .. })),
         "test delivered no ticks"
     );
     assert_identical(&off, &fuse, "off vs fuse (ticks)");
-    assert_identical(&off, &trace, "off vs trace (ticks)");
-}
-
-#[test]
-fn disabling_cache_drops_recorded_traces() {
-    let mut vm = Vm::new(loop_program(100_000)).unwrap();
-    vm.set_vm_opt(VmOpt::Trace);
-    // Get the loop hot and traced, then stop mid-run.
-    match vm.run(Some(5_000)) {
-        Err(VmError::FuelExhausted { .. }) => {}
-        other => panic!("expected fuel exhaustion, got {other:?}"),
-    }
-    assert!(vm.stats().traces_recorded >= 1);
-    let instrs_before = vm.stats().trace_instrs;
-    assert!(instrs_before > 0);
-
-    // Disabling the cache must also drop the traces: no further
-    // trace-mode execution may happen while the cache is off.
-    vm.set_cache_enabled(false);
-    vm.run(None).unwrap();
-    assert_eq!(
-        vm.stats().trace_instrs,
-        instrs_before,
-        "trace executed after the cache (and traces) were disabled"
-    );
-    assert_eq!(vm.reg(Reg(2)), 100_000);
 }
 
 #[test]
