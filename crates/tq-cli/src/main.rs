@@ -8,13 +8,16 @@
 //! ```text
 //! tq run     [--app wfs|img] [--scale tiny|small|paper]
 //! tq capture [--app …] [--scale …] --out FILE [--fuel N] [--format v1|v2|v3]
-//! tq gprof   [--scale …] [--interval N] [--jobs N]
-//! tq tquad   [--scale …] [--interval N] [--exclude-stack] [--exclude-libs]
-//!            [--chart read|write] [--kernels a,b,c] [--width N] [--jobs N]
-//! tq quad    [--scale …] [--exclude-stack] [--exclude-libs] [--dot PATH]
-//!            [--jobs N]
-//! tq phases  [--scale …] [--interval N] [--strategy cosine|interval] [--jobs N]
-//! tq intervals [--scale …] [--interval N] [--kernel NAME] [--gap N] [--jobs N]
+//! tq gprof   [--scale …] [--interval N] [--track-libs] [--jobs N]
+//! tq tquad   [--scale …] [--interval N] [--exclude-stack]
+//!            [--exclude-libs|--track-libs] [--chart read|write]
+//!            [--kernels a,b,c] [--width N] [--jobs N]
+//! tq quad    [--scale …] [--exclude-stack] [--exclude-libs|--track-libs]
+//!            [--dot PATH] [--jobs N]
+//! tq phases  [--scale …] [--interval N] [--exclude-libs|--track-libs]
+//!            [--strategy cosine|interval] [--jobs N]
+//! tq intervals [--scale …] [--interval N] [--exclude-stack]
+//!            [--exclude-libs|--track-libs] [--kernel NAME] [--gap N] [--jobs N]
 //!
 //! every profiling subcommand (gprof/tquad/quad/phases/intervals) also
 //! accepts [--capture FILE]: replay a `tq capture` file through the
@@ -36,6 +39,10 @@
 //! tq fleet-status --peers A,B,C [--metrics] [--timeout SECS]
 //! tq fleet-trace  --peers A,B,C --out FILE [--timeout SECS]
 //! ```
+//!
+//! A flag the subcommand does not read is a usage error (exit 1): a
+//! misspelt `--exlude-stack` must not quietly profile with the stack
+//! included.
 //!
 //! `--stats`/`--metrics` become roster-wide when `--peers` is given:
 //! stats print one JSON line per peer, metrics print one merged
@@ -78,8 +85,74 @@ struct Args {
     bools: Vec<String>,
 }
 
+/// Flags that take no value; every other flag takes exactly one.
+const SWITCHES: &[&str] = &[
+    "no-obs",
+    "exclude-stack",
+    "exclude-libs",
+    "track-libs",
+    "route",
+    "stats",
+    "metrics",
+    "logs",
+    "ping",
+    "shutdown",
+];
+
+/// The flags `tq <cmd>` reads, or `None` for an unknown subcommand.
+/// Anything else on its command line is a usage error: a misspelt or
+/// misplaced flag must fail loudly, not silently change the result.
+fn accepted_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    const LIVE: &str = "app scale vm-opt instr";
+    const PROFILER: &str = "capture jobs track-libs";
+    let groups: &[&str] = match cmd {
+        "run" => &[LIVE],
+        "capture" => &[LIVE, "out fuel format"],
+        // gprof has no library-exclusion mode: `--exclude-libs` would be
+        // a silent no-op there, so it is refused like any unknown flag.
+        "gprof" => &[LIVE, PROFILER, "interval"],
+        "tquad" => &[
+            LIVE,
+            PROFILER,
+            "interval exclude-stack exclude-libs chart kernels width",
+        ],
+        "quad" => &[LIVE, PROFILER, "exclude-stack exclude-libs dot"],
+        "phases" => &[LIVE, PROFILER, "interval exclude-libs strategy"],
+        "intervals" => &[
+            LIVE,
+            PROFILER,
+            "interval exclude-stack exclude-libs kernel gap",
+        ],
+        "disasm" => &["app scale routine"],
+        "serve" => &[
+            "addr workers state-dir cache-mb queue timeout-ms capture-fuel max-conns \
+             read-timeout-ms peers advertise probe-interval-ms slow-job-ms",
+        ],
+        "submit" => &[
+            "addr timeout retries peers fallback-hint-ms backoff-cap-ms tool app \
+             scale interval exclude-stack exclude-libs track-libs instr \
+             route stats metrics logs ping shutdown",
+        ],
+        "fleet-status" => &["peers metrics timeout"],
+        "fleet-trace" => &["peers out timeout"],
+        _ => return None,
+    };
+    // Every subcommand also takes the self-observability flags.
+    let obs = &["trace-out no-obs"];
+    Some(
+        groups
+            .iter()
+            .chain(obs)
+            .flat_map(|g| g.split_whitespace())
+            .collect(),
+    )
+}
+
 impl Args {
-    fn parse(args: &[String]) -> Result<Args, String> {
+    /// Parse the flags of `tq <cmd>`, rejecting any flag the subcommand
+    /// does not read, a switch given a value and a flag missing its value.
+    fn parse(cmd: &str, args: &[String]) -> Result<Args, String> {
+        let accepted = accepted_flags(cmd).ok_or_else(|| format!("unknown subcommand `{cmd}`"))?;
         let mut flags = HashMap::new();
         let mut bools = Vec::new();
         let mut it = args.iter().peekable();
@@ -87,14 +160,16 @@ impl Args {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| format!("--{name} expects a value"))?;
-                    flags.insert(name.to_string(), value.clone());
-                }
-                _ => bools.push(name.to_string()),
+            if !accepted.contains(&name) {
+                return Err(format!("`tq {cmd}` does not accept --{name}"));
+            }
+            if SWITCHES.contains(&name) {
+                bools.push(name.to_string());
+            } else {
+                let value = it
+                    .next_if(|next| !next.starts_with("--"))
+                    .ok_or_else(|| format!("--{name} expects a value"))?;
+                flags.insert(name.to_string(), value.clone());
             }
         }
         Ok(Args { flags, bools })
@@ -332,6 +407,7 @@ fn lib_policy(args: &Args) -> LibPolicy {
 fn usage() -> String {
     "usage: tq <run|capture|gprof|tquad|quad|phases|intervals|disasm|serve|submit|\n\
      \u{20}          fleet-status|fleet-trace> [options]\n\
+     a flag the subcommand does not read is an error (exit 1), never ignored\n\
      common options: --app wfs|img --scale tiny|small|paper\n\
      \u{20}               --vm-opt off|fuse (interpreter dispatch level; default\n\
      \u{20}               fuse; `off` is the unfused reference — same profiles,\n\
@@ -355,11 +431,13 @@ fn usage() -> String {
      capture options: --out FILE (required) --fuel N (0 = unbounded)\n\
      \u{20}               --format v1|v2|v3 (on-disk trace format; default v3 —\n\
      \u{20}               columnar, smallest, chunk-seekable)\n\
-     tquad options:  --interval N --exclude-stack --exclude-libs --chart read|write\n\
-     \u{20}               --kernels a,b,c --width N\n\
-     quad options:   --exclude-stack --exclude-libs --dot PATH\n\
-     phases options: --interval N --strategy cosine|interval\n\
-     intervals opts: --interval N --kernel NAME --gap N\n\
+     tquad options:  --interval N --exclude-stack --exclude-libs|--track-libs\n\
+     \u{20}               --chart read|write --kernels a,b,c --width N\n\
+     quad options:   --exclude-stack --exclude-libs|--track-libs --dot PATH\n\
+     phases options: --interval N --exclude-libs|--track-libs\n\
+     \u{20}               --strategy cosine|interval\n\
+     intervals opts: --interval N --exclude-stack --exclude-libs|--track-libs\n\
+     \u{20}               --kernel NAME --gap N\n\
      gprof options:  --interval N --track-libs\n\
      disasm options: --routine NAME\n\
      serve options:  --addr HOST:PORT --workers N --state-dir PATH --cache-mb N\n\
@@ -448,7 +526,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     let Some(cmd) = argv.first() else {
         return Err("missing subcommand".into());
     };
-    let args = Args::parse(&argv[1..])?;
+    let args = Args::parse(cmd, &argv[1..])?;
     if args.has("no-obs") {
         tq_obs::set_enabled(false);
     }
@@ -1180,4 +1258,73 @@ fn run(argv: &[String]) -> Result<(), Failure> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        Args::parse(cmd, &argv)
+    }
+
+    #[test]
+    fn misspelt_or_foreign_flags_are_rejected() {
+        let err = parse("quad", "--app img --scale tiny --exlude-stack").err();
+        assert_eq!(
+            err.as_deref(),
+            Some("`tq quad` does not accept --exlude-stack")
+        );
+        assert!(parse("run", "--app img --scale tiny --vm-opts trace").is_err());
+        // A real flag of another subcommand is just as foreign.
+        assert!(parse("phases", "--exclude-stack").is_err());
+        assert!(parse("run", "--jobs 4").is_err());
+        assert!(parse("serve", "--vm-opt fuse").is_err());
+        assert!(parse("gprof", "--exclude-libs").is_err());
+        assert_eq!(
+            parse("frobnicate", "").err().as_deref(),
+            Some("unknown subcommand `frobnicate`")
+        );
+    }
+
+    #[test]
+    fn switches_take_no_value_and_value_flags_need_one() {
+        assert!(parse("quad", "--exclude-stack 3").is_err());
+        assert_eq!(
+            parse("quad", "--jobs --exclude-stack").err().as_deref(),
+            Some("--jobs expects a value")
+        );
+        assert!(parse("tquad", "--interval").is_err());
+        let a = parse("quad", "--exclude-stack --jobs 4 --dot g.dot --no-obs").unwrap();
+        assert!(a.has("exclude-stack") && a.has("no-obs"));
+        assert_eq!(a.get("jobs"), Some("4"));
+        assert_eq!(a.get("dot"), Some("g.dot"));
+    }
+
+    #[test]
+    fn every_accepted_flag_is_in_the_usage_text() {
+        let usage = usage();
+        for cmd in [
+            "run",
+            "capture",
+            "gprof",
+            "tquad",
+            "quad",
+            "phases",
+            "intervals",
+            "disasm",
+            "serve",
+            "submit",
+            "fleet-status",
+            "fleet-trace",
+        ] {
+            for flag in accepted_flags(cmd).unwrap() {
+                assert!(usage.contains(&format!("--{flag}")), "{cmd}: --{flag}");
+            }
+        }
+        for switch in SWITCHES {
+            assert!(usage.contains(&format!("--{switch}")), "--{switch}");
+        }
+    }
 }

@@ -2,9 +2,11 @@
 //!
 //! QUAD's producer→consumer semantics: when kernel `f` reads a byte that
 //! kernel `g` most recently wrote, a binding `g → f` of one byte exists.
-//! The shadow memory answers "who wrote this byte last?" in O(1).
+//! The shadow memory answers "who wrote this byte last?" in O(1), and
+//! hands a multi-byte read back as runs of bytes with one writer each, so
+//! attribution costs one step per run, not per byte.
 
-use std::collections::HashMap;
+use tq_vm::U64Map;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 4096;
@@ -15,7 +17,7 @@ pub type WriterTag = u32;
 /// The shadow memory.
 #[derive(Default)]
 pub struct ShadowMemory {
-    pages: HashMap<u64, Box<[WriterTag; PAGE_SIZE]>>,
+    pages: U64Map<Box<[WriterTag; PAGE_SIZE]>>,
 }
 
 impl ShadowMemory {
@@ -53,9 +55,12 @@ impl ShadowMemory {
         self.pages.get(&page).map(|p| p[off]).unwrap_or(0)
     }
 
-    /// Visit the writers of `[addr, addr+len)`, one callback per byte.
+    /// Visit `[addr, addr+len)` as maximal runs of bytes that share a last
+    /// writer: `f(start, n, writer)` once per run, in address order. Runs
+    /// also split at page edges; a page never written is one run with
+    /// writer 0. Clipped at the top of the address space like [`Self::write`].
     #[inline]
-    pub fn for_each_writer(&self, addr: u64, len: u32, mut f: impl FnMut(u64, WriterTag)) {
+    pub fn for_each_run(&self, addr: u64, len: u32, mut f: impl FnMut(u64, u32, WriterTag)) {
         let mut a = addr;
         let end = addr.saturating_add(len as u64);
         while a < end {
@@ -64,15 +69,16 @@ impl ShadowMemory {
             let n = ((end - a) as usize).min(PAGE_SIZE - off);
             match self.pages.get(&page) {
                 Some(p) => {
-                    for (i, &w) in p[off..off + n].iter().enumerate() {
-                        f(a + i as u64, w);
+                    let tags = &p[off..off + n];
+                    let mut i = 0;
+                    while i < n {
+                        let w = tags[i];
+                        let j = tags[i..].iter().position(|&t| t != w).map_or(n, |k| i + k);
+                        f(a + i as u64, (j - i) as u32, w);
+                        i = j;
                     }
                 }
-                None => {
-                    for i in 0..n {
-                        f(a + i as u64, 0);
-                    }
-                }
+                None => f(a, n as u32, 0),
             }
             a += n as u64;
         }
@@ -140,14 +146,23 @@ mod tests {
     }
 
     #[test]
-    fn for_each_writer_mixed() {
+    fn for_each_run_mixed() {
         let mut s = ShadowMemory::new();
         s.write(10, 2, 5);
         let mut seen = Vec::new();
-        s.for_each_writer(8, 6, |a, w| seen.push((a, w)));
+        s.for_each_run(8, 6, |a, n, w| seen.push((a, n, w)));
+        assert_eq!(seen, vec![(8, 2, 0), (10, 2, 5), (12, 2, 0)]);
+    }
+
+    #[test]
+    fn for_each_run_splits_at_page_edges() {
+        let mut s = ShadowMemory::new();
+        s.write(4096 - 4, 8, 3);
+        let mut seen = Vec::new();
+        s.for_each_run(4096 - 6, 12, |a, n, w| seen.push((a, n, w)));
         assert_eq!(
             seen,
-            vec![(8, 0), (9, 0), (10, 5), (11, 5), (12, 0), (13, 0)]
+            vec![(4090, 2, 0), (4092, 4, 3), (4096, 4, 3), (4100, 2, 0)]
         );
     }
 
@@ -169,11 +184,8 @@ mod tests {
     #[test]
     fn unmapped_region_reports_zero() {
         let s = ShadowMemory::new();
-        let mut count = 0;
-        s.for_each_writer(1 << 20, 16, |_, w| {
-            assert_eq!(w, 0);
-            count += 1;
-        });
-        assert_eq!(count, 16);
+        let mut seen = Vec::new();
+        s.for_each_run(1 << 20, 16, |a, n, w| seen.push((a, n, w)));
+        assert_eq!(seen, vec![(1 << 20, 16, 0)]);
     }
 }

@@ -21,8 +21,15 @@ use tq_isa::RoutineId;
 use tq_tquad::{CallStack, LibPolicy};
 use tq_vm::{
     hooks, is_stack_access, Event, HookMask, InsContext, InstrInfo, MergeTool, ProgramInfo,
-    ShardContext, Tool,
+    ShardContext, Tool, U64Map,
 };
+
+/// The `bindings` key of a producer→consumer edge, packed into one `u64`
+/// for the cheap `U64Map` hasher.
+#[inline]
+fn edge(producer: u32, consumer: u32) -> u64 {
+    ((producer as u64) << 32) | consumer as u64
+}
 
 /// QUAD options.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +72,8 @@ pub struct QuadTool {
     stack: CallStack,
     shadow: ShadowMemory,
     kernels: Vec<KernelData>,
-    bindings: HashMap<(u32, u32), Binding>,
+    /// Binding edges keyed by `edge(producer, consumer)`.
+    bindings: U64Map<Binding>,
     /// True in a forked shard worker: reads of bytes with no writer in the
     /// *local* shadow may have a producer in an earlier chunk, so they are
     /// logged as orphans instead of being dismissed.
@@ -98,7 +106,7 @@ impl QuadTool {
             stack: CallStack::new(),
             shadow: ShadowMemory::new(),
             kernels: Vec::new(),
-            bindings: HashMap::new(),
+            bindings: U64Map::default(),
             shard_mode: false,
             orphans: HashMap::new(),
             instr: None,
@@ -160,15 +168,15 @@ impl QuadTool {
         let mut bindings: Vec<QuadBinding> = self
             .bindings
             .into_iter()
-            .map(|((p, c), b)| QuadBinding {
-                producer: RoutineId(p),
-                consumer: RoutineId(c),
+            .map(|(e, b)| QuadBinding {
+                producer: RoutineId((e >> 32) as u32),
+                consumer: RoutineId(e as u32),
                 bytes: scale(b.bytes),
                 unma: b.unma.len(),
             })
             .collect();
-        // Deterministic order: HashMap iteration is randomised per process,
-        // and sharded replay must render byte-identically to sequential.
+        // Deterministic order: map iteration order is arbitrary, and
+        // sharded replay must render byte-identically to sequential.
         bindings.sort_by_key(|b| (b.producer.0, b.consumer.0));
         {
             use std::sync::OnceLock;
@@ -265,25 +273,29 @@ impl Tool for QuadTool {
                 }
                 self.kernels[ki].in_bytes += size as u64;
                 self.kernels[ki].in_unma.insert_range(ea, size);
-                // Producer lookup per byte; consumption is charged to the
-                // producer's OUT and recorded as a binding edge. Disjoint
-                // field borrows keep this allocation-free on the hot path.
+                // Producer lookup per run of bytes with one last writer;
+                // consumption is charged to the producer's OUT and recorded
+                // as a binding edge. Disjoint field borrows keep this
+                // allocation-free on the hot path.
                 let shadow = &self.shadow;
                 let kernels = &mut self.kernels;
                 let bindings = &mut self.bindings;
                 let orphans = &mut self.orphans;
                 let shard_mode = self.shard_mode;
-                shadow.for_each_writer(ea, size, |addr, w| {
+                shadow.for_each_run(ea, size, |start, n, w| {
                     if w != 0 {
                         let producer = w - 1;
-                        kernels[producer as usize].out_bytes += 1;
-                        let b = bindings.entry((producer, k)).or_default();
-                        b.bytes += 1;
-                        b.unma.insert(addr);
+                        kernels[producer as usize].out_bytes += n as u64;
+                        let b = bindings.entry(edge(producer, k)).or_default();
+                        b.bytes += n as u64;
+                        b.unma.insert_range(start, n);
                     } else if shard_mode {
                         // The producer (if any) wrote in an earlier chunk;
-                        // resolved against the prefix shadow at absorb.
-                        *orphans.entry((addr, k)).or_insert(0) += 1;
+                        // resolved byte by byte against the prefix shadow
+                        // at absorb.
+                        for addr in start..start + n as u64 {
+                            *orphans.entry((addr, k)).or_insert(0) += 1;
+                        }
                     }
                 });
             }
@@ -357,7 +369,7 @@ impl MergeTool for QuadTool {
             if w != 0 {
                 let producer = w - 1;
                 self.kernels[producer as usize].out_bytes += count;
-                let b = self.bindings.entry((producer, consumer)).or_default();
+                let b = self.bindings.entry(edge(producer, consumer)).or_default();
                 b.bytes += count;
                 b.unma.insert(addr);
             } else if self.shard_mode {
@@ -375,8 +387,8 @@ impl MergeTool for QuadTool {
             k.in_unma.union(&ok.in_unma);
             k.out_unma.union(&ok.out_unma);
         }
-        for (edge, b) in other_bindings {
-            let mine = self.bindings.entry(edge).or_default();
+        for (key, b) in other_bindings {
+            let mine = self.bindings.entry(key).or_default();
             mine.bytes += b.bytes;
             mine.unma.union(&b.unma);
         }

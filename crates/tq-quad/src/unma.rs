@@ -7,10 +7,11 @@
 //! The `unma_sets` bench quantifies the difference; this module is the
 //! production representation.
 
-use std::collections::HashMap;
+use tq_vm::U64Map;
 
 const PAGE_SHIFT: u32 = 12;
-const WORDS_PER_PAGE: usize = 4096 / 64;
+const PAGE_SIZE: usize = 4096;
+const WORDS_PER_PAGE: usize = PAGE_SIZE / 64;
 
 /// A set of 64-bit byte addresses, one bit per address within 4 KiB pages.
 ///
@@ -23,7 +24,7 @@ const WORDS_PER_PAGE: usize = 4096 / 64;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct AddressSet {
-    pages: HashMap<u64, Box<[u64; WORDS_PER_PAGE]>>,
+    pages: U64Map<Box<[u64; WORDS_PER_PAGE]>>,
     len: u64,
 }
 
@@ -53,31 +54,37 @@ impl AddressSet {
         }
     }
 
-    /// Insert a contiguous range `[addr, addr+len)` (one access of `len`
-    /// bytes). Ranges that stay within one 64-bit bitmap word — every
-    /// aligned access of ≤ 8 bytes — take a single-mask fast path.
+    /// Insert a contiguous range `[addr, addr+len)` word by word: the
+    /// first and last 64-bit bitmap words of each page take a mask, the
+    /// words between are filled whole, and `count_ones` counts the new
+    /// bits. Clipped at the top of the address space rather than
+    /// overflowing (only reachable via corrupt replayed traces).
     #[inline]
     pub fn insert_range(&mut self, addr: u64, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let off = (addr & 0xFFF) as usize;
-        if len <= 8 && off / 64 == (off + len as usize - 1) / 64 {
-            let page = addr >> PAGE_SHIFT;
+        let end = addr.saturating_add(len as u64);
+        let mut a = addr;
+        while a < end {
+            let off = (a & 0xFFF) as usize;
+            let n = ((end - a) as usize).min(PAGE_SIZE - off);
             let bitmap = self
                 .pages
-                .entry(page)
+                .entry(a >> PAGE_SHIFT)
                 .or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]));
-            let word = &mut bitmap[off / 64];
-            let mask = (u64::MAX >> (64 - len)) << (off % 64);
-            self.len += (mask & !*word).count_ones() as u64;
-            *word |= mask;
-            return;
-        }
-        // Clip at the top of the address space rather than overflowing
-        // (only reachable via corrupt replayed traces).
-        for a in addr..addr.saturating_add(len as u64) {
-            self.insert(a);
+            let (first, last) = (off / 64, (off + n - 1) / 64);
+            let head = u64::MAX << (off % 64);
+            let tail = u64::MAX >> (63 - (off + n - 1) % 64);
+            for w in first..=last {
+                let mut mask = u64::MAX;
+                if w == first {
+                    mask &= head;
+                }
+                if w == last {
+                    mask &= tail;
+                }
+                self.len += (mask & !bitmap[w]).count_ones() as u64;
+                bitmap[w] |= mask;
+            }
+            a += n as u64;
         }
     }
 

@@ -21,6 +21,7 @@
 
 mod dispatch;
 mod fuse;
+pub mod hash;
 pub mod hostfs;
 pub mod instr;
 pub mod layout;
@@ -29,6 +30,7 @@ mod obs;
 pub mod tool;
 pub mod vm;
 
+pub use hash::{U64Hasher, U64Map};
 pub use hostfs::{FsMode, HostFs};
 pub use instr::{
     ConvergeSpec, InstrEmulator, InstrGap, InstrGate, InstrInfo, InstrMode, RoutineFilter,

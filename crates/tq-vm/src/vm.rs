@@ -8,13 +8,12 @@
 //! calls play the role of system calls handled by the emulator: their memory
 //! traffic is invisible to tools, as kernel-mode code is to Pin.
 
+use crate::hash::U64Map;
 use crate::hostfs::{FsMode, HostFs};
 use crate::instr::{InstrGate, InstrInfo, InstrMode};
 use crate::layout;
 use crate::mem::{Memory, OutOfRange};
 use crate::tool::{hooks, Event, HookMask, InsContext, ProgramInfo, RoutineMeta, Tool};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use tq_isa::{abi, DecodeError, HostFn, Inst, Program, RoutineId, INST_BYTES};
 
@@ -186,31 +185,10 @@ pub(crate) struct Block {
     pub(crate) ops: Box<[crate::fuse::BlockOp]>,
 }
 
-/// Hasher of the code cache, whose keys are block start addresses. The
-/// dispatcher looks the cache up once per executed block, where the
-/// default SipHash costs a visible share of dispatch time; one multiply
-/// (with the high half folded down, since instruction addresses share
-/// their low bits) spreads addresses well enough. Nothing iterates the
-/// cache, so no output depends on the resulting order.
-#[derive(Default)]
-struct PcHasher(u64);
-
-impl Hasher for PcHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("the code cache is keyed by u64 addresses only")
-    }
-
-    fn write_u64(&mut self, pc: u64) {
-        let h = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type BlockCache = HashMap<u64, Rc<Block>, BuildHasherDefault<PcHasher>>;
+/// The code cache, keyed by block start address. The dispatcher looks it
+/// up once per executed block, hence the cheap [`U64Map`] hasher; nothing
+/// iterates the cache, so no output depends on its order.
+type BlockCache = U64Map<Rc<Block>>;
 
 pub(crate) enum Next {
     Fall,

@@ -17,7 +17,7 @@ cargo test -q --offline --workspace
 echo "==> cargo doc --no-deps --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline
 
-echo "==> sharded replay determinism smoke (tquad/quad/gprof, 4 shards vs sequential)"
+echo "==> sharded replay determinism smoke (tquad/quad/gprof, quad --exclude-stack, 4 shards vs sequential; unknown flags rejected)"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 for tool in tquad quad gprof; do
@@ -26,8 +26,19 @@ for tool in tquad quad gprof; do
     diff "$smoke_dir/$tool.seq" "$smoke_dir/$tool.sharded" \
         || { echo "verify: FAIL ($tool sharded output diverged)"; exit 1; }
 done
+./target/release/tq quad --app img --scale tiny --exclude-stack --jobs 1 > "$smoke_dir/quad.nostack.seq"
+./target/release/tq quad --app img --scale tiny --exclude-stack --jobs 4 > "$smoke_dir/quad.nostack.sharded"
+diff "$smoke_dir/quad.nostack.seq" "$smoke_dir/quad.nostack.sharded" \
+    || { echo "verify: FAIL (quad --exclude-stack sharded output diverged)"; exit 1; }
 if ./target/release/tq tquad --app img --scale tiny --interval 0 > /dev/null 2>&1; then
     echo "verify: FAIL (--interval 0 must be rejected)"; exit 1
+fi
+# A flag the subcommand does not read is a usage error, never ignored.
+if ./target/release/tq quad --app img --scale tiny --exlude-stack > /dev/null 2>&1; then
+    echo "verify: FAIL (misspelt --exlude-stack must be rejected)"; exit 1
+fi
+if ./target/release/tq run --app img --scale tiny --vm-opts trace > /dev/null 2>&1; then
+    echo "verify: FAIL (unknown --vm-opts must be rejected)"; exit 1
 fi
 
 echo "==> vm-opt smoke: off and fuse captures are byte-identical"
@@ -62,6 +73,9 @@ for tool in tquad quad gprof; do
     diff "$smoke_dir/$tool.capv2" "$smoke_dir/$tool.capv3" \
         || { echo "verify: FAIL ($tool profile diverged between v2 and v3 captures)"; exit 1; }
 done
+./target/release/tq quad --capture "$smoke_dir/cap.v3" --jobs 4 > "$smoke_dir/quad.capv3.j4"
+diff "$smoke_dir/quad.capv3" "$smoke_dir/quad.capv3.j4" \
+    || { echo "verify: FAIL (sharded streaming quad diverged from sequential)"; exit 1; }
 ./target/release/tq tquad --capture "$smoke_dir/cap.v3" --jobs 2 \
     --trace-out "$smoke_dir/streaming.trace.json" \
     > "$smoke_dir/tquad.capv3.j2" 2> /dev/null
